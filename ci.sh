@@ -17,6 +17,17 @@ H2O_WORKERS=1 cargo test -q
 echo "==> cargo test -q (H2O_WORKERS=4)"
 H2O_WORKERS=4 cargo test -q
 
+# The legs above run only the root package. The member crates carry their
+# own unit, integration and doc tests (exec frames and stress, ckpt format,
+# hwsim cache properties, core doctests), so they run here too. The bench
+# crate's lib tests drive whole experiments and take minutes in debug
+# builds, so that crate runs in release.
+echo "==> cargo test --workspace --exclude h2o-bench -q"
+cargo test --workspace --exclude h2o-bench -q
+
+echo "==> cargo test -p h2o-bench --release -q"
+cargo test -p h2o-bench --release -q
+
 # Checkpoint/resume smoke through the release binary, once per executor
 # width: a run truncated at step 4 and resumed must write the same
 # telemetry as an uninterrupted run (history compared modulo the

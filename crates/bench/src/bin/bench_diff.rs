@@ -67,7 +67,13 @@ fn main() {
             .get("git_rev")
             .map_or("unknown", |s| s.as_str())
     );
-    let current = run_matrix("current", BenchScale::from_env());
+    let current = match run_matrix("current", BenchScale::from_env()) {
+        Ok(report) => report,
+        Err(err) => {
+            eprintln!("bench_diff: {err}");
+            std::process::exit(2);
+        }
+    };
     let diff = diff_reports(&baseline, &current, threshold);
     print!("{}", diff.render());
 

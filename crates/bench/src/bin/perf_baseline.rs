@@ -35,7 +35,13 @@ fn main() {
         "perf_baseline: tag '{tag}', {} search steps, {} sim evals, {} matmul iters",
         scale.search_steps, scale.sim_evals, scale.matmul_iters
     );
-    let report = run_matrix(&tag, scale);
+    let report = match run_matrix(&tag, scale) {
+        Ok(report) => report,
+        Err(err) => {
+            eprintln!("perf_baseline: {err}");
+            std::process::exit(2);
+        }
+    };
     for (name, metrics) in &report.scenarios {
         eprintln!("  {}", scenario_summary(name, metrics));
     }

@@ -10,7 +10,9 @@
 //!   of one-shot NAS (§5.1.2).
 
 use crate::report::{env_usize, Table};
-use h2o_core::{tunas_search, unified_search, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_core::{
+    OneShotConfig, PerfObjective, RewardFn, RewardKind, SearchDriver, TunasStage, UnifiedStage,
+};
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_space::{ArchSample, DlrmSpaceConfig, DlrmSupernet};
 use rand::rngs::StdRng;
@@ -59,7 +61,10 @@ pub fn single_step_ablation(steps: usize) -> (f64, f64, u64, u64) {
     let mut supernet_u = DlrmSupernet::new(DlrmSpaceConfig::tiny(), 0.05, &mut rng);
     let pipeline = InMemoryPipeline::new(CtrTraffic::new(CtrTrafficConfig::tiny(), 50));
     let (reward, perf) = reward_and_perf(&supernet_u);
-    let outcome_u = unified_search(&mut supernet_u, &pipeline, &reward, perf, &cfg);
+    let space = supernet_u.space().space().clone();
+    let outcome_u = SearchDriver::new(&space, &reward, cfg.controller()).search(
+        &mut UnifiedStage::new(&mut supernet_u, &pipeline, perf, &cfg),
+    );
     let unified_examples = pipeline.stats().examples;
 
     // TuNAS: two streams; halve the steps so the total examples consumed
@@ -73,13 +78,8 @@ pub fn single_step_ablation(steps: usize) -> (f64, f64, u64, u64) {
         ..cfg
     };
     let (reward, perf) = reward_and_perf(&supernet_t);
-    let outcome_t = tunas_search(
-        &mut supernet_t,
-        &mut train,
-        &mut valid,
-        &reward,
-        perf,
-        &cfg_t,
+    let outcome_t = SearchDriver::new(&space, &reward, cfg_t.controller()).search(
+        &mut TunasStage::new(&mut supernet_t, &mut train, &mut valid, perf, &cfg_t),
     );
     let tunas_examples = train.examples_produced() + valid.examples_produced();
 

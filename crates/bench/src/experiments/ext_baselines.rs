@@ -11,7 +11,9 @@
 
 use crate::report::{env_usize, Table};
 use h2o_core::baselines::{evolution_search, random_search, EvolutionConfig};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{
+    EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
+};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
@@ -53,7 +55,8 @@ pub fn compare(budget: usize) -> (f64, f64, f64) {
         seed: 5,
         workers: 0,
     };
-    let rl = parallel_search(space.space(), &reward, |_| evaluator(), &cfg);
+    let rl = SearchDriver::new(space.space(), &reward, cfg)
+        .search(&mut ParallelStage::new(|_| evaluator(), &cfg));
     let rl_best = rl
         .best_evaluated()
         .map(|c| c.reward)

@@ -13,7 +13,9 @@
 //! demonstrating the late-binding workflow.
 
 use crate::report::{env_usize, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{
+    EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
+};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::cnn::BlockType;
@@ -91,7 +93,8 @@ pub fn search_on(hw: &HardwareConfig, steps: usize) -> CodesignResult {
         seed: 23,
         workers: 0,
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let outcome =
+        SearchDriver::new(space.space(), &reward, cfg).search(&mut ParallelStage::new(make, &cfg));
     let arch = space.decode(&outcome.best);
     let graph = arch.build_graph(64);
     let sim = Simulator::new(hw.clone());

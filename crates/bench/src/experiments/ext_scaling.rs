@@ -8,7 +8,9 @@
 //! and reports steps-to-threshold.
 
 use crate::report::{env_usize, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{
+    EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
+};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::{DatasetScale, VisionQualityModel};
 use h2o_space::{ArchSample, CnnSpace, CnnSpaceConfig};
@@ -46,7 +48,8 @@ pub fn scaling_point(shards: usize, steps: usize, threshold: f64) -> (Option<usi
         seed: 55,
         workers: 0,
     };
-    let outcome = parallel_search(space.space(), &reward, |_| evaluator(), &cfg);
+    let outcome = SearchDriver::new(space.space(), &reward, cfg)
+        .search(&mut ParallelStage::new(|_| evaluator(), &cfg));
     let hit = outcome
         .history
         .iter()

@@ -10,7 +10,9 @@
 //! sparse feasible region where the absolute reward stalls.
 
 use crate::report::{env_usize, pct, Table};
-use h2o_core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig};
+use h2o_core::{
+    EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
+};
 use h2o_hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_models::quality::DlrmQualityModel;
 use h2o_space::{ArchSample, DlrmSpace, DlrmSpaceConfig};
@@ -70,7 +72,8 @@ pub fn search(kind: RewardKind, steps: usize) -> (f64, f64, (f64, f64, f64)) {
             }
         }
     };
-    let outcome = parallel_search(space.space(), &reward, make, &cfg);
+    let outcome =
+        SearchDriver::new(space.space(), &reward, cfg).search(&mut ParallelStage::new(make, &cfg));
     let half = outcome.evaluated.len() / 2;
     let late = &outcome.evaluated[half..];
     let feasible = late

@@ -25,8 +25,8 @@
 
 use crate::report::{env_usize, seconds, Table};
 use h2o_core::{
-    parallel_search_with, tunas_search, unified_search, OneShotConfig, PerfObjective, RewardFn,
-    RewardKind, SearchConfig, PHASES,
+    OneShotConfig, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
+    TunasStage, UnifiedStage, PHASES,
 };
 use h2o_data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
 use h2o_eval::{BackendSpec, Domain, EvalBackend, EvalScenario, ModelSpec};
@@ -602,7 +602,12 @@ const SEARCH_SEED: u64 = 0;
 /// Runs the full scenario matrix and assembles the report. Each scenario
 /// resets the global metrics registry first, so its snapshot reflects that
 /// scenario alone.
-pub fn run_matrix(tag: &str, scale: BenchScale) -> BenchReport {
+///
+/// # Errors
+///
+/// Fails when a parallel scenario's checkpoint write fails: its timings
+/// would no longer measure the checkpointed run the matrix pins.
+pub fn run_matrix(tag: &str, scale: BenchScale) -> Result<BenchReport, String> {
     let mut report = BenchReport::new(tag);
     report.env = env_block(scale);
     for workers in [1usize, 4, 8] {
@@ -611,7 +616,8 @@ pub fn run_matrix(tag: &str, scale: BenchScale) -> BenchReport {
                 "parallel_w{workers}_cache_{}",
                 if cached { "on" } else { "off" }
             );
-            let metrics = scenario_parallel(workers, cached, scale.search_steps);
+            let metrics = scenario_parallel(workers, cached, scale.search_steps)
+                .map_err(|e| format!("scenario {name}: {e}"))?;
             report.scenarios.insert(name, metrics);
         }
     }
@@ -641,7 +647,7 @@ pub fn run_matrix(tag: &str, scale: BenchScale) -> BenchReport {
         "tensor_matmul".to_string(),
         scenario_matmul(scale.matmul_iters),
     );
-    report
+    Ok(report)
 }
 
 fn env_block(scale: BenchScale) -> BTreeMap<String, String> {
@@ -682,7 +688,11 @@ fn dlrm_space_config() -> DlrmSpaceConfig {
     config
 }
 
-fn scenario_parallel(workers: usize, cached: bool, steps: usize) -> BTreeMap<String, f64> {
+fn scenario_parallel(
+    workers: usize,
+    cached: bool,
+    steps: usize,
+) -> Result<BTreeMap<String, f64>, String> {
     h2o_obs::reset();
     let watch = h2o_obs::Stopwatch::start();
 
@@ -719,15 +729,15 @@ fn scenario_parallel(workers: usize, cached: bool, steps: usize) -> BTreeMap<Str
 
     // h2o-lint: allow(panic-hygiene) -- sim/cached backends cannot fail to build
     let backend = scenario.backend().expect("backend");
-    let outcome = parallel_search_with(
-        &space,
-        &reward,
-        |_| scenario.shard_evaluator(&backend),
-        &cfg,
-        None,
-        sink.as_mut()
-            .map(|s| s as &mut dyn h2o_core::CheckpointSink),
-    );
+    let mut stage = ParallelStage::new(|_| scenario.shard_evaluator(&backend), &cfg);
+    let outcome = SearchDriver::new(&space, &reward, cfg)
+        .run(
+            &mut stage,
+            None,
+            sink.as_mut()
+                .map(|s| s as &mut dyn h2o_core::CheckpointSink),
+        )
+        .map_err(|e| e.to_string())?;
 
     let wall = watch.elapsed_secs();
     let mut metrics = search_metrics(outcome.evaluated.len(), wall);
@@ -753,7 +763,7 @@ fn scenario_parallel(workers: usize, cached: bool, steps: usize) -> BTreeMap<Str
             );
         }
     }
-    metrics
+    Ok(metrics)
 }
 
 fn scenario_unified(steps: usize) -> BTreeMap<String, f64> {
@@ -776,7 +786,8 @@ fn scenario_unified(steps: usize) -> BTreeMap<String, f64> {
         vec![PerfObjective::new("model_mb", 2.0, -8.0)],
     );
     let perf = |sample: &ArchSample| vec![space.decode(sample).model_size_bytes() / 1e6];
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &cfg);
+    let outcome = SearchDriver::new(space.space(), &reward, cfg.controller())
+        .search(&mut UnifiedStage::new(&mut supernet, &pipeline, perf, &cfg));
 
     search_metrics(outcome.evaluated.len(), watch.elapsed_secs())
 }
@@ -802,7 +813,9 @@ fn scenario_tunas(steps: usize) -> BTreeMap<String, f64> {
         vec![PerfObjective::new("model_mb", 2.0, -8.0)],
     );
     let perf = |sample: &ArchSample| vec![space.decode(sample).model_size_bytes() / 1e6];
-    let outcome = tunas_search(&mut supernet, &mut train, &mut valid, &reward, perf, &cfg);
+    let outcome = SearchDriver::new(space.space(), &reward, cfg.controller()).search(
+        &mut TunasStage::new(&mut supernet, &mut train, &mut valid, perf, &cfg),
+    );
 
     search_metrics(outcome.evaluated.len(), watch.elapsed_secs())
 }
@@ -952,14 +965,10 @@ fn search_through(spec: BackendSpec, steps: usize, workers: usize) -> (usize, f6
     // h2o-lint: allow(panic-hygiene) -- sim/cached backends cannot fail to build
     let backend = scenario.backend().expect("backend");
     let watch = h2o_obs::Stopwatch::start();
-    let outcome = parallel_search_with(
-        &space,
-        &reward,
+    let outcome = SearchDriver::new(&space, &reward, cfg).search(&mut ParallelStage::new(
         |_| scenario.shard_evaluator(&backend),
         &cfg,
-        None,
-        None,
-    );
+    ));
     (outcome.evaluated.len(), watch.elapsed_secs(), backend)
 }
 

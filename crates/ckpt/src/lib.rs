@@ -13,7 +13,7 @@
 //!   can never destroy the previous good checkpoint;
 //! * a **[`FileCheckpointSink`]** implementing
 //!   [`h2o_core::CheckpointSink`], plugging the store into
-//!   `parallel_search_with` / `unified_search_with` at a fixed step cadence.
+//!   [`h2o_core::SearchDriver::run`] at a fixed step cadence.
 //!
 //! Floats are serialised via their IEEE-754 bit patterns, so a restored
 //! search continues **bit-identically** — the determinism tests in the

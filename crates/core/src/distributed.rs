@@ -178,8 +178,7 @@ impl CandidateStage for DistributedStage {
 mod tests {
     use super::*;
     use crate::reward::{PerfObjective, RewardFn, RewardKind};
-    use crate::search::parallel_search;
-    use crate::SearchDriver;
+    use crate::{ParallelStage, SearchDriver};
     use h2o_exec::{serve, NodeAddr, NodeListener, PoolOptions};
     use h2o_space::{Decision, SearchSpace};
     use std::path::PathBuf;
@@ -260,7 +259,8 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let golden = parallel_search(&space, &reward, |_shard| evaluate, &config);
+        let golden = SearchDriver::new(&space, &reward, config)
+            .search(&mut ParallelStage::new(|_shard| evaluate, &config));
 
         for nodes in [1usize, 3] {
             let fingerprint = 0xD15C0;

@@ -5,15 +5,21 @@
 //! extracted as a reusable engine: it owns the per-step invariant loop
 //! (reward computation → baseline EMA → cross-shard REINFORCE update →
 //! telemetry → checkpointing) and delegates only *candidate production* to
-//! a pluggable [`CandidateStage`]. The three search flavors the crate
-//! exposes are stages over this one engine:
+//! a pluggable [`CandidateStage`]. Every search the crate runs is a stage
+//! over this one engine:
 //!
 //! * [`ParallelStage`](crate::ParallelStage) — executor-fanned stateless
-//!   evaluation (the `parallel_search` entry points);
+//!   evaluation;
+//! * [`DistributedStage`](crate::DistributedStage) — the same fan-out over
+//!   worker processes;
 //! * [`UnifiedStage`](crate::UnifiedStage) — serial supernet quality +
-//!   executor-fanned performance (the `unified_search*` entry points);
+//!   executor-fanned performance (the unified one-shot search);
 //! * [`TunasStage`](crate::TunasStage) — the alternating train/valid
-//!   two-stream baseline (the `tunas_search*` entry points).
+//!   two-stream baseline.
+//!
+//! [`SearchDriver::run`] is the full entry point (resume, checkpoint sink,
+//! typed errors); [`SearchDriver::search`] is the infallible shorthand for
+//! an in-process run with neither.
 //!
 //! The engine upholds the determinism contract: stages derive every sample
 //! stream from `(seed, step, shard)` via
@@ -221,10 +227,11 @@ pub trait CandidateStage {
 ///
 /// # Examples
 ///
-/// The public entry points (`parallel_search`, `unified_search_over`,
-/// `tunas_search`, …) are thin wrappers that build the matching stage and
-/// call [`SearchDriver::run`]; use them unless you are bringing your own
-/// stage. A custom stage needs only candidate production:
+/// Every search builds its stage ([`ParallelStage`](crate::ParallelStage),
+/// [`UnifiedStage`](crate::UnifiedStage), [`TunasStage`](crate::TunasStage)
+/// or [`DistributedStage`](crate::DistributedStage)) and hands it to
+/// [`SearchDriver::search`] or [`SearchDriver::run`]. A custom stage needs
+/// only candidate production:
 ///
 /// ```
 /// use h2o_core::{
@@ -266,9 +273,7 @@ pub trait CandidateStage {
 /// let reward = RewardFn::new(RewardKind::Relu, vec![]);
 /// let config = ControllerConfig { steps: 60, shards: 4, ..Default::default() };
 /// let mut stage = AnalyticStage { shards: config.shards, seed: config.seed };
-/// let outcome = SearchDriver::new(&space, &reward, config)
-///     .run(&mut stage, None, None)
-///     .expect("no checkpoint sink, so the run cannot fail");
+/// let outcome = SearchDriver::new(&space, &reward, config).search(&mut stage);
 /// assert_eq!(outcome.best[0], 4, "quality is maximised by the widest choice");
 /// ```
 #[derive(Debug)]
@@ -286,6 +291,27 @@ impl<'a> SearchDriver<'a> {
             space,
             reward_fn,
             config,
+        }
+    }
+
+    /// Runs the controller loop over an in-process `stage` from step 0 with
+    /// no checkpoint sink: [`SearchDriver::run`] without its resume and
+    /// sink arguments, and therefore without its checkpoint error.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`SearchDriver::run`] does, and if the stage fails to
+    /// collect a step's candidates. In-process stages never fail; stages
+    /// that cross a process boundary
+    /// ([`DistributedStage`](crate::DistributedStage)) belong with
+    /// [`SearchDriver::run`], which returns that failure as
+    /// [`DriverError::Eval`].
+    pub fn search<S: CandidateStage + ?Sized>(&self, stage: &mut S) -> SearchOutcome {
+        match self.run(stage, None, None) {
+            Ok(outcome) => outcome,
+            // h2o-lint: allow(panic-hygiene) -- with no sink the loop has no checkpoint error,
+            // and in-process stages never fail collect; fallible runs go through run()
+            Err(err) => panic!("{err}"),
         }
     }
 

@@ -1,22 +1,21 @@
 //! Domain-generic one-shot search: the unified single-step algorithm over
 //! *any* weight-sharing super-network, as a [`CandidateStage`] over the
-//! [`SearchDriver`] engine.
+//! [`SearchDriver`](crate::SearchDriver) engine.
 //!
 //! §4.2's algorithm does not care what the super-network computes — it
 //! needs (a) a categorical space, (b) candidate masking, (c) a quality
 //! signal from a fresh batch and (d) a shared-weight training step.
 //! [`OneShotSupernet`] captures exactly that contract, and
-//! [`unified_search_over`] runs Fig. 2's right-hand side over it. The DLRM
+//! [`UnifiedStage`] runs Fig. 2's right-hand side over it. The DLRM
 //! super-network (the paper's novel case) and the vision classifier
 //! super-network both implement it, demonstrating that the machinery is
 //! domain-independent.
 
-use crate::driver::{CandidateStage, SearchDriver};
+use crate::driver::CandidateStage;
 use crate::policy::Policy;
-use crate::resume::{CheckpointSink, ResumeState};
-use crate::reward::RewardFn;
+use crate::resume::ResumeState;
 use crate::search::{shard_seed, EvalResult};
-use crate::{OneShotConfig, SearchOutcome};
+use crate::OneShotConfig;
 use h2o_data::{InMemoryPipeline, StampedBatch, TrafficSource};
 use h2o_space::{ArchSample, DlrmSupernet, SearchSpace, VisionSupernet};
 use rand::rngs::StdRng;
@@ -126,6 +125,11 @@ impl OneShotSupernet for VisionSupernet {
 /// [`collect`](CandidateStage::collect) to
 /// [`after_policy_update`](CandidateStage::after_policy_update) so the
 /// pipeline's α-before-W ordering is exercised on every batch.
+///
+/// Resume restores the shared weights via [`OneShotSupernet::load_state`]
+/// and fast-forwards the pipeline, so a resumed stage must be built over a
+/// **freshly constructed** supernet and pipeline with the original seeds
+/// and configs.
 pub struct UnifiedStage<'a, S, Src, P>
 where
     S: OneShotSupernet,
@@ -288,77 +292,30 @@ where
     }
 }
 
-/// The unified single-step search (Fig. 2 right) over any
-/// [`OneShotSupernet`]: per shard, a fresh batch feeds policy learning
-/// first and weight training second, with the pipeline enforcing the
-/// ordering.
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0` or `config.steps == 0`.
-pub fn unified_search_over<S, Src>(
-    supernet: &mut S,
-    pipeline: &InMemoryPipeline<Src>,
-    reward_fn: &RewardFn,
-    perf_of: impl Fn(&ArchSample) -> Vec<f64> + Sync,
-    config: &OneShotConfig,
-) -> SearchOutcome
-where
-    S: OneShotSupernet,
-    Src: TrafficSource<Batch = S::Batch>,
-{
-    unified_search_over_with(supernet, pipeline, reward_fn, perf_of, config, None, None)
-}
-
-/// [`unified_search_over`] with checkpoint/resume hooks.
-///
-/// `resume` restores a snapshot captured at a completed step `k` by a
-/// [`CheckpointSink`]: controller state is handed back to the driver, the
-/// supernet's shared weights are restored via
-/// [`OneShotSupernet::load_state`], and the pipeline is fast-forwarded past
-/// the `k × shards` batches the original run consumed — so the caller must
-/// pass a **freshly constructed** supernet and pipeline built with the same
-/// seeds/configs as the original run. Policy sampling draws from a
-/// per-step RNG seeded by [`shard_seed`]`(seed, step, u64::MAX)` (the
-/// `u64::MAX` tag keeps the stream disjoint from per-shard eval streams),
-/// so the resumed run is byte-identical to an uninterrupted one.
-///
-/// # Panics
-///
-/// Panics if `config.shards == 0`, `config.steps == 0`, if the resume state
-/// was captured past `config.steps`, lacks supernet state, does not match
-/// the supernet's shape, or if the sink returns an error.
-pub fn unified_search_over_with<S, Src>(
-    supernet: &mut S,
-    pipeline: &InMemoryPipeline<Src>,
-    reward_fn: &RewardFn,
-    perf_of: impl Fn(&ArchSample) -> Vec<f64> + Sync,
-    config: &OneShotConfig,
-    resume: Option<ResumeState>,
-    sink: Option<&mut dyn CheckpointSink>,
-) -> SearchOutcome
-where
-    S: OneShotSupernet,
-    Src: TrafficSource<Batch = S::Batch>,
-{
-    let space = supernet.search_space().clone();
-    let mut stage = UnifiedStage::new(supernet, pipeline, perf_of, config);
-    match SearchDriver::new(&space, reward_fn, config.controller()).run(&mut stage, resume, sink) {
-        Ok(outcome) => outcome,
-        // h2o-lint: allow(panic-hygiene) -- documented wrapper contract: the convenience
-        // entry points abort on a failed checkpoint write; SearchDriver::run returns the
-        // typed DriverError for callers that need to handle it
-        Err(err) => panic!("{err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::{PerfObjective, RewardKind};
+    use crate::reward::{PerfObjective, RewardFn, RewardKind};
+    use crate::{SearchDriver, SearchOutcome};
     use h2o_data::VisionTraffic;
     use h2o_space::VisionSupernetConfig;
     use rand::SeedableRng;
+
+    fn unified<S, Src>(
+        supernet: &mut S,
+        pipeline: &InMemoryPipeline<Src>,
+        reward: &RewardFn,
+        perf: impl Fn(&ArchSample) -> Vec<f64> + Sync,
+        cfg: &OneShotConfig,
+    ) -> SearchOutcome
+    where
+        S: OneShotSupernet,
+        Src: TrafficSource<Batch = S::Batch>,
+    {
+        let space = supernet.search_space().clone();
+        let mut stage = UnifiedStage::new(supernet, pipeline, perf, cfg);
+        SearchDriver::new(&space, reward, cfg.controller()).search(&mut stage)
+    }
 
     #[test]
     fn vision_supernet_searches_through_the_generic_path() {
@@ -388,7 +345,7 @@ mod tests {
             quality_scale: 5.0,
             ..Default::default()
         };
-        let outcome = unified_search_over(&mut net, &pipeline, &reward, perf, &cfg);
+        let outcome = unified(&mut net, &pipeline, &reward, perf, &cfg);
         // Pipeline ordering held throughout.
         let stats = pipeline.stats();
         assert_eq!(stats.policy_used, stats.weights_used);
@@ -424,7 +381,7 @@ mod tests {
             batch_size: 32,
             ..Default::default()
         };
-        let outcome = unified_search_over(&mut net, &pipeline, &reward, |_| vec![], &cfg);
+        let outcome = unified(&mut net, &pipeline, &reward, |_| vec![], &cfg);
         assert_eq!(outcome.evaluated.len(), 10);
     }
 
@@ -443,7 +400,7 @@ mod tests {
             shards: 0,
             ..Default::default()
         };
-        unified_search_over(&mut net, &pipeline, &reward, |_| vec![], &cfg);
+        unified(&mut net, &pipeline, &reward, |_| vec![], &cfg);
     }
 
     #[test]
@@ -459,6 +416,6 @@ mod tests {
             steps: 0,
             ..Default::default()
         };
-        unified_search_over(&mut net, &pipeline, &reward, |_| vec![], &cfg);
+        unified(&mut net, &pipeline, &reward, |_| vec![], &cfg);
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::policy::{Policy, RewardBaseline};
 use crate::search::{EvaluatedCandidate, SearchConfig, StepRecord};
+use h2o_exec::wire::{fnv1a_fold, FNV_OFFSET};
 use h2o_space::SearchSpace;
 
 /// Borrowed view of everything needed to resume a search after a completed
@@ -84,9 +85,12 @@ impl ResumeState {
 ///
 /// [`CheckpointSink::should_checkpoint`] gates the (possibly expensive)
 /// snapshot construction — one-shot loops only serialise the supernet when
-/// the sink says yes. A sink error aborts the search (see
-/// `parallel_search_with`): silently continuing would let a run believe it
-/// is durable when it is not.
+/// the sink says yes. A sink error stops [`SearchDriver::run`] with
+/// [`DriverError::Checkpoint`]: silently continuing would let a run
+/// believe it is durable when it is not.
+///
+/// [`SearchDriver::run`]: crate::SearchDriver::run
+/// [`DriverError::Checkpoint`]: crate::DriverError::Checkpoint
 pub trait CheckpointSink {
     /// Whether a snapshot should be taken after `steps_done` completed
     /// steps.
@@ -100,24 +104,13 @@ pub trait CheckpointSink {
     fn on_checkpoint(&mut self, snapshot: &SearchSnapshot<'_>) -> Result<(), String>;
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a over the 8 bytes of `value`, folded into `hash`.
-fn fnv1a_u64(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// FNV-1a over the 8 little-endian bytes of `value`, folded into `hash`.
+fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+    fnv1a_fold(hash, &value.to_le_bytes())
 }
 
-fn fnv1a_str(mut hash: u64, value: &str) -> u64 {
-    for byte in value.as_bytes() {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn fnv1a_str(hash: u64, value: &str) -> u64 {
+    fnv1a_fold(hash, value.as_bytes())
 }
 
 /// Hashes the space's identity: its name plus every decision's name and

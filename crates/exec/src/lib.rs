@@ -9,10 +9,6 @@
 //!   jobs (evaluators live on the caller's stack). Jobs are pre-sharded
 //!   round-robin across per-worker deques; an idle worker steals from the
 //!   back of its neighbours' deques.
-//! * [`WorkerPool`] — a persistent channel-fed pool for `'static` jobs,
-//!   supporting concurrent batch submission from many producer threads
-//!   ([`WorkerPool::submit`] / [`BatchHandle::collect`]) and clean
-//!   drain-then-join shutdown on drop.
 //! * [`DistributedPool`] — the **process-per-node** mode: byte jobs fan
 //!   out over Unix-socket or TCP [`NodeTransport`]s carrying
 //!   length-prefixed, checksummed [`frame`]s, with the same
@@ -42,7 +38,6 @@
 
 pub mod distributed;
 pub mod frame;
-mod pool;
 pub mod transport;
 pub mod wire;
 
@@ -51,7 +46,6 @@ pub use frame::{
     decode_frame, encode_frame, read_frame, write_frame, ExecError, Frame, FrameKind,
     FRAME_HEADER_LEN, FRAME_MAGIC, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
-pub use pool::{BatchHandle, WorkerPool};
 pub use transport::{NodeAddr, NodeListener, NodeTransport};
 pub use wire::{Dec, Enc, WireError};
 
@@ -237,10 +231,10 @@ impl Executor {
         let busy_seconds = &busy_seconds;
         let idle_seconds = &idle_seconds;
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let batch_watch = h2o_obs::Stopwatch::start();
                         let mut busy = 0.0f64;
                         loop {
@@ -282,9 +276,7 @@ impl Executor {
                 // honest move is to propagate it to the caller, not to swallow it into an Err
                 handle.join().expect("executor worker panicked");
             }
-        })
-        // h2o-lint: allow(panic-hygiene) -- same: scope Err re-raises a child thread's panic
-        .expect("executor scope panicked");
+        });
 
         h2o_obs::counter("h2o_exec_steals_total").add(steals.into_inner());
         results

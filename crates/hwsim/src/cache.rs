@@ -22,6 +22,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+// Reference FNV-1a. `h2o_exec::wire::fnv1a` multiplies by a different
+// constant, so it cannot stand in without changing every cache key.
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 

@@ -12,7 +12,9 @@
 //! cargo run --example dlrm_oneshot_search --release
 //! ```
 
-use h2o_nas::core::{unified_search, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_nas::core::{
+    OneShotConfig, PerfObjective, RewardFn, RewardKind, SearchDriver, UnifiedStage,
+};
 use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline, TrafficSource};
 use h2o_nas::space::{ArchSample, DlrmSpaceConfig, DlrmSupernet};
 use rand::rngs::StdRng;
@@ -47,7 +49,9 @@ fn main() {
         batch_size: 64,
         ..Default::default()
     };
-    let outcome = unified_search(&mut supernet, &pipeline, &reward, perf, &config);
+    let outcome = SearchDriver::new(space.space(), &reward, config.controller()).search(
+        &mut UnifiedStage::new(&mut supernet, &pipeline, perf, &config),
+    );
 
     let stats = pipeline.stats();
     println!(

@@ -1,8 +1,8 @@
 //! Bring your own search loop: plug a custom `CandidateStage` into the
 //! `SearchDriver` controller engine.
 //!
-//! Every built-in entry point (`parallel_search`, `unified_search`,
-//! `tunas_search`) is a thin wrapper over the same engine; this example
+//! Every built-in search is a stage over the same engine (`ParallelStage`,
+//! `UnifiedStage`, `TunasStage`, `DistributedStage`); this example
 //! writes a *new* flavor from scratch — successive-halving evaluation,
 //! where each step cheaply screens a wide pool of samples and only the
 //! surviving half gets the expensive hardware simulation — and gets the
@@ -114,9 +114,7 @@ fn main() {
     };
 
     let mut stage = HalvingStage::new(config.shards, config.seed);
-    let outcome = SearchDriver::new(space.space(), &reward, config)
-        .run(&mut stage, None, None)
-        .expect("no checkpoint sink, so the run cannot fail");
+    let outcome = SearchDriver::new(space.space(), &reward, config).search(&mut stage);
 
     let best = space.decode(&outcome.best);
     let report = stage

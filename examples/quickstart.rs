@@ -10,7 +10,7 @@
 //! ```
 
 use h2o_nas::core::{
-    parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind, SearchConfig,
+    EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig, SearchDriver,
 };
 use h2o_nas::hwsim::{HardwareConfig, Simulator, SystemConfig};
 use h2o_nas::models::quality::{DatasetScale, VisionQualityModel};
@@ -62,7 +62,8 @@ fn main() {
         policy_lr: 0.06,
         ..Default::default()
     };
-    let outcome = parallel_search(space.space(), &reward, make_evaluator, &config);
+    let outcome = SearchDriver::new(space.space(), &reward, config)
+        .search(&mut ParallelStage::new(make_evaluator, &config));
 
     // 5. Inspect the winner (the per-decision argmax of the policy).
     let best = space.decode(&outcome.best);

@@ -8,7 +8,9 @@
 //! cargo run --example vision_oneshot --release
 //! ```
 
-use h2o_nas::core::{unified_search_over, OneShotConfig, PerfObjective, RewardFn, RewardKind};
+use h2o_nas::core::{
+    OneShotConfig, PerfObjective, RewardFn, RewardKind, SearchDriver, UnifiedStage,
+};
 use h2o_nas::data::{InMemoryPipeline, TrafficSource, VisionTraffic};
 use h2o_nas::space::{ArchSample, VisionSupernet, VisionSupernetConfig};
 use rand::rngs::StdRng;
@@ -43,7 +45,9 @@ fn main() {
         quality_scale: 5.0,
         ..Default::default()
     };
-    let outcome = unified_search_over(&mut net, &pipeline, &reward, perf, &config);
+    let space = net.space().clone();
+    let outcome = SearchDriver::new(&space, &reward, config.controller())
+        .search(&mut UnifiedStage::new(&mut net, &pipeline, perf, &config));
 
     let stats = pipeline.stats();
     println!(

@@ -12,7 +12,7 @@
 
 use h2o_nas::ckpt::{CheckpointStore, FileCheckpointSink};
 use h2o_nas::core::{
-    parallel_search_with, CheckpointSink, DistributedStage, PerfObjective, ResumeState, RewardFn,
+    CheckpointSink, DistributedStage, ParallelStage, PerfObjective, ResumeState, RewardFn,
     RewardKind, SearchConfig, SearchDriver, SearchOutcome,
 };
 use h2o_nas::distributed::NodeCluster;
@@ -697,14 +697,15 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
                     // One backend per process, cloned into every shard:
                     // clones share cache storage and fine-tuning state.
                     let backend = scenario.backend()?;
-                    let outcome = parallel_search_with(
-                        &space,
-                        &reward,
-                        |_| scenario.shard_evaluator(&backend),
-                        &cfg,
-                        resume_state,
-                        sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
-                    );
+                    let mut stage =
+                        ParallelStage::new(|_| scenario.shard_evaluator(&backend), &cfg);
+                    let outcome = SearchDriver::new(&space, &reward, cfg)
+                        .run(
+                            &mut stage,
+                            resume_state,
+                            sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
+                        )
+                        .map_err(|e| e.to_string())?;
                     report_backend(&backend);
                     outcome
                 }
@@ -730,7 +731,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
             // The full §4 loop on a small scale: DLRM super-network +
             // use-once pipeline + simulator-pretrained performance model,
             // exercising core, data, hwsim and perfmodel in one run.
-            use h2o_nas::core::{unified_search_with, OneShotConfig};
+            use h2o_nas::core::{OneShotConfig, UnifiedStage};
             use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
             use h2o_nas::perfmodel::{Featurizer, PerfModel, PerfTargets, TrainConfig};
             use h2o_nas::space::{DlrmSpaceConfig, DlrmSupernet};
@@ -802,15 +803,15 @@ fn cmd_search(flags: &HashMap<String, String>) -> Result<(), String> {
                 oneshot_cfg.fingerprint(space.space()),
                 oneshot_cfg.steps,
             )?;
-            let outcome = unified_search_with(
-                &mut supernet,
-                &pipeline,
-                &oneshot_reward,
-                perf,
-                &oneshot_cfg,
-                resume_state,
-                sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
-            );
+            let mut stage = UnifiedStage::new(&mut supernet, &pipeline, perf, &oneshot_cfg);
+            let outcome =
+                SearchDriver::new(space.space(), &oneshot_reward, oneshot_cfg.controller())
+                    .run(
+                        &mut stage,
+                        resume_state,
+                        sink.as_mut().map(|s| s as &mut dyn CheckpointSink),
+                    )
+                    .map_err(|e| e.to_string())?;
             maybe_export(&outcome)?;
             let stats = pipeline.stats();
             let best = space.decode(&outcome.best);

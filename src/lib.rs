@@ -41,27 +41,27 @@
 //!
 //! # Examples
 //!
-//! Search a toy space against a hardware-aware reward. `parallel_search`
-//! (like every search entry point) is a thin wrapper over the unified
-//! [`core::SearchDriver`] controller engine — swap the stage to search a
-//! trainable super-network ([`core::UnifiedStage`]) or bring your own
+//! Search a toy space against a hardware-aware reward. Every search is a
+//! stage run by the one [`core::SearchDriver`] controller engine: here the
+//! parallel [`core::ParallelStage`]; swap the stage to search a trainable
+//! super-network ([`core::UnifiedStage`]) or bring your own
 //! [`core::CandidateStage`]:
 //!
 //! ```
-//! use h2o_nas::core::{parallel_search, EvalResult, PerfObjective, RewardFn, RewardKind,
-//!                     SearchConfig};
+//! use h2o_nas::core::{EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind,
+//!                     SearchConfig, SearchDriver};
 //! use h2o_nas::space::{ArchSample, Decision, SearchSpace};
 //!
 //! let mut space = SearchSpace::new("demo");
 //! space.push(Decision::new("width", 8));
 //! let reward = RewardFn::new(RewardKind::Relu,
 //!     vec![PerfObjective::new("latency", 4.0, -20.0)]);
-//! let outcome = parallel_search(
-//!     &space,
-//!     &reward,
+//! let config = SearchConfig { steps: 80, shards: 4, ..Default::default() };
+//! let mut stage = ParallelStage::new(
 //!     |_| |s: &ArchSample| EvalResult { quality: s[0] as f64, perf_values: vec![s[0] as f64] },
-//!     &SearchConfig { steps: 80, shards: 4, ..Default::default() },
+//!     &config,
 //! );
+//! let outcome = SearchDriver::new(&space, &reward, config).search(&mut stage);
 //! assert_eq!(outcome.best[0], 4);
 //! ```
 

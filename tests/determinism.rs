@@ -9,8 +9,8 @@
 use h2o_nas::ckpt::{CheckpointStore, FileCheckpointSink};
 use h2o_nas::core::telemetry::{candidates_csv, history_csv};
 use h2o_nas::core::{
-    parallel_search, parallel_search_with, shard_seed, ArchEvaluator, CheckpointSink, EvalResult,
-    PerfObjective, ResumeState, RewardFn, RewardKind, SearchConfig, SearchOutcome, SearchSnapshot,
+    shard_seed, ArchEvaluator, CheckpointSink, EvalResult, ParallelStage, PerfObjective,
+    ResumeState, RewardFn, RewardKind, SearchConfig, SearchDriver, SearchOutcome, SearchSnapshot,
 };
 use h2o_nas::eval::{BackendSpec, Domain, EvalBackend};
 use h2o_nas::graph::{DType, Graph, OpKind};
@@ -83,9 +83,7 @@ fn det_search(
     resume: Option<ResumeState>,
     sink: Option<&mut dyn CheckpointSink>,
 ) -> SearchOutcome {
-    parallel_search_with(
-        &space(),
-        &reward(),
+    let mut stage = ParallelStage::new(
         |_| {
             let backend = backend.clone();
             move |sample: &ArchSample| {
@@ -102,9 +100,10 @@ fn det_search(
             }
         },
         cfg,
-        resume,
-        sink,
-    )
+    );
+    SearchDriver::new(&space(), &reward(), *cfg)
+        .run(&mut stage, resume, sink)
+        .expect("search with a working sink")
 }
 
 fn run_with(workers: usize, cached: bool) -> (String, String) {
@@ -180,12 +179,10 @@ fn stateful_evaluators_stay_pinned_to_their_shard() {
             workers,
             ..Default::default()
         };
-        let outcome = parallel_search(
-            &space(),
-            &reward(),
+        let outcome = SearchDriver::new(&space(), &reward(), cfg).search(&mut ParallelStage::new(
             |shard| CountingEvaluator { shard, calls: 0 },
             &cfg,
-        );
+        ));
         normalized_csvs(outcome)
     };
     let a = run(1);
@@ -348,7 +345,7 @@ impl CheckpointSink for CaptureAt {
 
 #[test]
 fn oneshot_resume_restores_supernet_weights_bit_exactly() {
-    use h2o_nas::core::{unified_search_with, OneShotConfig};
+    use h2o_nas::core::{OneShotConfig, UnifiedStage};
     use h2o_nas::data::{CtrTraffic, CtrTrafficConfig, InMemoryPipeline};
     use h2o_nas::space::{DlrmSpaceConfig, DlrmSupernet};
     use rand::rngs::StdRng;
@@ -377,15 +374,14 @@ fn oneshot_resume_restores_supernet_weights_bit_exactly() {
     let perf = move |sample: &ArchSample| vec![perf_space.decode(sample).model_size_bytes()];
 
     let mut capture = CaptureAt { at: 5, state: None };
-    let full = unified_search_with(
-        &mut supernet,
-        &pipeline,
-        &oneshot_reward,
-        &perf,
-        &cfg,
-        None,
-        Some(&mut capture),
-    );
+    let driver = SearchDriver::new(space.space(), &oneshot_reward, cfg.controller());
+    let full = driver
+        .run(
+            &mut UnifiedStage::new(&mut supernet, &pipeline, &perf, &cfg),
+            None,
+            Some(&mut capture),
+        )
+        .expect("in-memory sink cannot fail");
     let state = capture.state.expect("snapshot captured after step 5");
     assert!(
         state.supernet_state.is_some(),
@@ -396,15 +392,13 @@ fn oneshot_resume_restores_supernet_weights_bit_exactly() {
     // shared weights come back from the snapshot, the pipeline is
     // fast-forwarded to the same stream position.
     let (mut supernet2, pipeline2) = make();
-    let resumed = unified_search_with(
-        &mut supernet2,
-        &pipeline2,
-        &oneshot_reward,
-        &perf,
-        &cfg,
-        Some(state),
-        None,
-    );
+    let resumed = driver
+        .run(
+            &mut UnifiedStage::new(&mut supernet2, &pipeline2, &perf, &cfg),
+            Some(state),
+            None,
+        )
+        .expect("no sink, so the run cannot fail");
     assert_eq!(normalized_csvs(full), normalized_csvs(resumed));
     let stats = pipeline2.stats();
     assert_eq!(stats.fast_forwarded, 5 * 2, "5 steps x 2 shards replayed");
@@ -469,4 +463,43 @@ fn cli_binary_resumes_byte_identically() {
         "CLI resume must reproduce the uninterrupted run"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint write that fails mid-run is an error the CLI reports, not
+/// a crash: the in-process searches exit 1 with the driver's typed
+/// message, exactly as the `--nodes` path does. The write is made to fail
+/// by occupying the step-10 checkpoint's temporary file name with a
+/// directory.
+#[test]
+fn cli_checkpoint_write_failure_exits_1_without_panicking() {
+    for domain in ["dlrm", "dlrm-oneshot"] {
+        let dir =
+            std::env::temp_dir().join(format!("h2o_cli_ckpt_fail_{domain}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("ckpt-00000010.tmp")).expect("blocking dir");
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_h2o"))
+            .args([
+                "search",
+                "--domain",
+                domain,
+                "--steps",
+                "12",
+                "--shards",
+                "2",
+                "--checkpoint-every",
+                "10",
+                "--checkpoint-dir",
+            ])
+            .arg(&dir)
+            .output()
+            .expect("h2o binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{domain}: {stderr}");
+        assert!(
+            stderr.contains("checkpoint sink failed after step 10"),
+            "{domain}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{domain}: {stderr}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -10,8 +10,8 @@
 
 use h2o_nas::core::telemetry::{candidates_csv, history_csv};
 use h2o_nas::core::{
-    parallel_search_with, ArchEvaluator, EvalResult, PerfObjective, RewardFn, RewardKind,
-    SearchConfig, SearchOutcome, PHASES,
+    ArchEvaluator, EvalResult, ParallelStage, PerfObjective, RewardFn, RewardKind, SearchConfig,
+    SearchDriver, SearchOutcome, PHASES,
 };
 use h2o_nas::eval::{BackendSpec, Domain, EvalBackend};
 use h2o_nas::graph::{DType, Graph, OpKind};
@@ -68,14 +68,8 @@ fn run(workers: usize, cached: bool) -> SearchOutcome {
         workers,
         ..Default::default()
     };
-    parallel_search_with(
-        &space(),
-        &reward(),
-        |_| evaluator(&backend),
-        &cfg,
-        None,
-        None,
-    )
+    SearchDriver::new(&space(), &reward(), cfg)
+        .search(&mut ParallelStage::new(|_| evaluator(&backend), &cfg))
 }
 
 fn reward() -> RewardFn {
